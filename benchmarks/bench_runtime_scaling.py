@@ -2,23 +2,20 @@
 
 The multi-solve panel solves and the multi-factorization block
 factorizations are mutually independent, so they scale with
-``SolverConfig.n_workers`` on a multi-core machine.  This bench sweeps
-the worker count *and the execution backend* (``thread`` vs ``process``)
-on a fixed problem and records wall-clock time, the runtime window
+``SolverConfig.n_workers`` on a multi-core machine: the thread pool runs
+NumPy/SciPy kernels that release the GIL.  This bench sweeps the worker
+count on a fixed problem and records wall-clock time, the runtime window
 (coordinator wall time inside the parallel assembly — the quantity that
 actually shrinks with workers), worker time (phase totals, which sum
 across workers and therefore stay flat), scheduler wait and peak memory.
 
-The thread backend relies on NumPy/SciPy kernels releasing the GIL, so
-its scaling degrades when the pure-Python share of a task grows; the
-process backend runs kernels in worker processes (shared-memory result
-slabs, coordinator-side accounting) and is the one held to the ≥3×
-assembly-speedup acceptance target.
-
-On a single-core container the sweep degenerates to overhead measurement
-— the speedup assertions are gated on :func:`os.cpu_count` — but
-bit-identity of the solutions across all backends and worker counts, and
-boundedness of the tracked peak, are asserted unconditionally.
+Bit-identity of the solutions across worker counts and boundedness of
+the tracked peak are asserted unconditionally.  The end-to-end bound —
+at the widest swept worker count the machine has cores for, each
+algorithm's best-of-:data:`REPEATS` wall is at most
+:data:`MAX_WALL_RATIO` times its serial wall — is asserted at any bench
+scale; the ≥2× multi-solve speedup target needs four cores and a
+full-size case.
 """
 
 import os
@@ -29,12 +26,19 @@ import numpy as np
 from repro.core import SolverConfig, solve_coupled
 from repro.memory.tracker import fmt_bytes
 from repro.runner.reporting import render_table, render_worker_breakdown
-from repro.runtime import AUTO_PROCESS_MIN_TASK_BYTES, choose_auto_backend
 
 from bench_utils import bench_scale, write_bench_json, write_result
 
 WORKER_COUNTS = (1, 2, 4)
-BACKENDS = ("thread", "process")
+
+#: Allowed end-to-end wall of the widest swept worker count the machine
+#: has cores for, relative to the serial wall (parallel runs must never
+#: cost the user more than scheduling noise).
+MAX_WALL_RATIO = 1.25
+
+#: Timed runs per sweep point; the best wall is reported and gated, so a
+#: single descheduled run does not decide the bound.
+REPEATS = 3
 
 
 def _timed_solve(problem, algorithm, config):
@@ -43,20 +47,23 @@ def _timed_solve(problem, algorithm, config):
     return sol, time.perf_counter() - t0
 
 
-def _sweep(problem, algorithm, config, backend, reference, rows, records):
-    """Sweep worker counts for one (algorithm, backend) pair.
+def _sweep(problem, algorithm, config, reference, rows, records):
+    """Sweep worker counts for one algorithm.
 
-    Returns ``{n_workers: (wall, runtime_wall)}``; asserts every solution
-    is bit-identical to ``reference`` (the serial thread run).
+    Returns ``{n_workers: (best wall, runtime_wall)}``; asserts every
+    solution is bit-identical to ``reference`` (the serial run).
     """
     out = {}
     for n_workers in WORKER_COUNTS:
-        sol, wall = _timed_solve(
-            problem, algorithm,
-            config.with_(n_workers=n_workers, runtime_backend=backend),
-        )
-        # the ordered reduction makes every backend/width bit-identical
-        assert np.array_equal(reference.x, sol.x)
+        runs = [
+            _timed_solve(problem, algorithm,
+                         config.with_(n_workers=n_workers))
+            for _ in range(REPEATS)
+        ]
+        # the ordered reduction makes every width bit-identical
+        for sol, _ in runs:
+            assert np.array_equal(reference.x, sol.x)
+        sol, wall = min(runs, key=lambda run: run[1])
         runtime_wall = sol.stats.runtime_wall_seconds
         out[n_workers] = (wall, runtime_wall)
         worker_time = sum(
@@ -66,7 +73,7 @@ def _sweep(problem, algorithm, config, backend, reference, rows, records):
         )
         base_runtime_wall = out[1][1]
         rows.append((
-            algorithm, backend, n_workers, f"{wall:.2f}s",
+            algorithm, n_workers, f"{wall:.2f}s",
             f"{out[1][0] / wall:.2f}x",
             f"{runtime_wall:.2f}s",
             f"{base_runtime_wall / max(runtime_wall, 1e-9):.2f}x",
@@ -75,9 +82,9 @@ def _sweep(problem, algorithm, config, backend, reference, rows, records):
         ))
         records.append({
             "algorithm": algorithm,
-            "backend": backend,
             "n_workers": n_workers,
             "wall_seconds": wall,
+            "wall_seconds_runs": [w for _, w in runs],
             "speedup": out[1][0] / wall,
             "runtime_wall_seconds": runtime_wall,
             "assembly_speedup": base_runtime_wall / max(runtime_wall, 1e-9),
@@ -91,27 +98,25 @@ def _sweep(problem, algorithm, config, backend, reference, rows, records):
 
 def test_runtime_scaling(benchmark, pipe_8k):
     config = SolverConfig(n_c=64, n_b=2)
+    cpu_count = os.cpu_count() or 1
     rows, records = [], []
     sweeps = {}
     for algorithm in ("multi_solve", "multi_factorization"):
         reference, _ = _timed_solve(
-            pipe_8k, algorithm,
-            config.with_(n_workers=1, runtime_backend="thread"),
+            pipe_8k, algorithm, config.with_(n_workers=1),
         )
-        for backend in BACKENDS:
-            sweeps[algorithm, backend] = _sweep(
-                pipe_8k, algorithm, config, backend, reference,
-                rows, records,
-            )
+        sweeps[algorithm] = _sweep(
+            pipe_8k, algorithm, config, reference, rows, records,
+        )
     write_result(
         "runtime_scaling",
         render_table(
-            ["algorithm", "backend", "n_workers", "wall", "speedup",
+            ["algorithm", "n_workers", "wall", "speedup",
              "runtime window", "assembly speedup", "sched wait", "peak mem"],
             rows,
             title=f"Parallel panel runtime scaling "
                   f"(pipe N={pipe_8k.n_total:,}, "
-                  f"{os.cpu_count()} cores available)",
+                  f"{cpu_count} cores available)",
         ),
     )
     write_bench_json("runtime_scaling", {
@@ -120,99 +125,26 @@ def test_runtime_scaling(benchmark, pipe_8k):
             "n_b": config.n_b,
             "n_c": config.n_c,
             "bench_scale": bench_scale(),
-            "cpu_count": os.cpu_count(),
+            "cpu_count": cpu_count,
         },
         "worker_counts": list(WORKER_COUNTS),
-        "backends": list(BACKENDS),
         "runs": records,
     })
-    if (os.cpu_count() or 1) >= 4 and bench_scale() >= 1.0:
-        # acceptance targets, on a machine that actually has the cores
+    widest = max(n for n in WORKER_COUNTS if n <= cpu_count)
+    for algorithm, sweep in sweeps.items():
+        assert sweep[widest][0] <= MAX_WALL_RATIO * sweep[1][0], (
+            algorithm, widest, sweep)
+    if cpu_count >= 4 and bench_scale() >= 1.0:
+        # acceptance target, on a machine that actually has the cores
         # (skipped on CI's scaled-down smoke case, where overhead wins):
-        # 4 thread workers at least halve the multi-solve wall time...
-        ms_thread = sweeps["multi_solve", "thread"]
-        assert ms_thread[4][0] <= ms_thread[1][0] / 2.0
-        # ...and the process backend speeds the parallel assembly window
-        # (coordinator wall inside the runtime) up >= 3x at 4 workers
-        ms_process = sweeps["multi_solve", "process"]
-        assert ms_process[4][1] <= ms_process[1][1] / 3.0
+        # 4 workers at least halve the multi-solve wall time
+        ms = sweeps["multi_solve"]
+        assert ms[4][0] <= ms[1][0] / 2.0
     benchmark.pedantic(
         solve_coupled,
         args=(pipe_8k, "multi_solve", config.with_(n_workers=WORKER_COUNTS[-1])),
         rounds=1, iterations=1,
     )
-
-
-def test_auto_backend_crossover(pipe_8k):
-    """Measure the ``runtime_backend="auto"`` crossover on real cases.
-
-    ``auto`` resolves per run from the largest task's result-slab size:
-    process workers once a task reaches ``AUTO_PROCESS_MIN_TASK_BYTES``
-    (their serialization overhead amortizes against the GIL-free
-    kernels), threads below it.  Sweeping ``n_b`` moves the block size
-    across that threshold on one problem; each lane asserts the
-    end-to-end resolution matches the rule applied to the predicted
-    largest block, and that the auto run stays bit-identical to both
-    explicit backends.  Timings for auto/thread/process land in the JSON
-    so the crossover constant can be sanity-checked against measurement.
-    """
-    base = SolverConfig(n_c=64, n_workers=4)
-    itemsize = np.dtype(pipe_8k.dtype).itemsize
-    rows, records = [], []
-    for n_b in (2, 8):  # large blocks vs small blocks around the threshold
-        config = base.with_(n_b=n_b)
-        k_max = -(-pipe_8k.n_bem // n_b)
-        expected = choose_auto_backend(k_max * k_max * itemsize,
-                                       config.n_workers)
-        sol_auto, wall_auto = _timed_solve(
-            pipe_8k, "multi_factorization",
-            config.with_(runtime_backend="auto"),
-        )
-        resolved = sol_auto.stats.params["runtime_backend"]
-        assert resolved == expected
-        walls = {"auto": wall_auto}
-        for backend in BACKENDS:
-            sol, wall = _timed_solve(
-                pipe_8k, "multi_factorization",
-                config.with_(runtime_backend=backend),
-            )
-            assert np.array_equal(sol_auto.x, sol.x)
-            walls[backend] = wall
-        rows.append((
-            n_b, k_max, fmt_bytes(k_max * k_max * itemsize), resolved,
-            f"{walls['auto']:.2f}s", f"{walls['thread']:.2f}s",
-            f"{walls['process']:.2f}s",
-        ))
-        records.append({
-            "n_b": n_b,
-            "k_max": k_max,
-            "task_nbytes": k_max * k_max * itemsize,
-            "resolved_backend": resolved,
-            "wall_seconds": walls,
-        })
-    write_result(
-        "auto_backend_crossover",
-        render_table(
-            ["n_b", "k_max", "task size", "auto ->", "auto wall",
-             "thread wall", "process wall"],
-            rows,
-            title=f"runtime_backend=auto crossover "
-                  f"(pipe N={pipe_8k.n_total:,}, threshold "
-                  f"{fmt_bytes(AUTO_PROCESS_MIN_TASK_BYTES)}, "
-                  f"{base.n_workers} workers)",
-        ),
-    )
-    write_bench_json("auto_backend_crossover", {
-        "case": {
-            "n_total": pipe_8k.n_total,
-            "n_bem": pipe_8k.n_bem,
-            "n_workers": base.n_workers,
-            "bench_scale": bench_scale(),
-            "cpu_count": os.cpu_count(),
-        },
-        "auto_process_min_task_bytes": AUTO_PROCESS_MIN_TASK_BYTES,
-        "lanes": records,
-    })
 
 
 def test_runtime_breakdown_under_tight_limit(pipe_4k):
@@ -233,21 +165,4 @@ def test_runtime_breakdown_under_tight_limit(pipe_4k):
         render_worker_breakdown(sol.stats)
         + f"\npeak {fmt_bytes(sol.stats.peak_bytes)}"
           f" <= limit {fmt_bytes(limit)}",
-    )
-
-
-def test_process_backend_breakdown(pipe_4k):
-    """One process-backend run at 4 workers: record the per-process phase
-    breakdown (worker-N rows plus the coordinator's admission waits)."""
-    config = SolverConfig(n_c=64)
-    serial = solve_coupled(pipe_4k, "multi_solve", config.with_(n_workers=1))
-    sol = solve_coupled(
-        pipe_4k, "multi_solve",
-        config.with_(n_workers=4, runtime_backend="process"),
-    )
-    assert np.array_equal(serial.x, sol.x)
-    write_result(
-        "runtime_breakdown_process_backend",
-        render_worker_breakdown(sol.stats)
-        + f"\npeak {fmt_bytes(sol.stats.peak_bytes)}",
     )

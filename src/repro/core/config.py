@@ -37,7 +37,8 @@ from repro.memory.tracker import MemoryTracker
 from repro.sparse.blr import BLRConfig
 from repro.utils.errors import ConfigurationError
 
-_DENSE_BACKENDS = ("spido", "hmat", "spido_ooc")
+#: Accepted ``dense_backend`` values (the CLI offers the same choices).
+DENSE_BACKENDS = ("spido", "hmat", "spido_ooc")
 _COMPRESSORS = ("svd", "aca")
 _ORDERINGS = ("geometric", "graph")
 
@@ -106,15 +107,6 @@ class SolverConfig:
     #: yields bit-identical solutions; memory stays bounded by
     #: ``memory_limit`` through the runtime's admission control.
     n_workers: Optional[int] = None
-    #: Execution backend of the parallel panel runtime: ``"thread"`` (the
-    #: historical pool; NumPy kernels release the GIL) or ``"process"``
-    #: (a process pool with shared-memory result panels and
-    #: coordinator-side memory accounting — true concurrency for the
-    #: pure-Python share of each task; see ``docs/scaling.md`` §11).
-    #: ``None`` = ``$REPRO_RUNTIME_BACKEND`` if set, else ``"thread"``.
-    #: Solutions are bit-identical across backends under the same BLAS
-    #: threading.
-    runtime_backend: Optional[str] = None
     #: Reuse the sparse *analysis* (ordering + symbolic factorization of
     #: ``A_vv``) across the ``n_b²`` multi-factorization blocks through a
     #: :class:`repro.sparse.SymbolicCache` — what real solvers' split
@@ -166,9 +158,9 @@ class SolverConfig:
     serve_executor_threads: int = 2
 
     def __post_init__(self):
-        if self.dense_backend not in _DENSE_BACKENDS:
+        if self.dense_backend not in DENSE_BACKENDS:
             raise ConfigurationError(
-                f"dense_backend must be one of {_DENSE_BACKENDS}"
+                f"dense_backend must be one of {DENSE_BACKENDS}"
             )
         if self.compressor not in _COMPRESSORS:
             raise ConfigurationError(f"compressor must be one of {_COMPRESSORS}")
@@ -207,12 +199,6 @@ class SolverConfig:
             raise ConfigurationError("refinement_steps must be >= 0")
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1 or None")
-        if self.runtime_backend is not None and self.runtime_backend not in (
-            "thread", "process", "auto"
-        ):
-            raise ConfigurationError(
-                "runtime_backend must be 'thread', 'process', 'auto' or None"
-            )
         if self.axpy_max_accumulated_rank < 1:
             raise ConfigurationError(
                 "axpy_max_accumulated_rank must be >= 1"
@@ -241,14 +227,6 @@ class SolverConfig:
         from repro.runtime import resolve_n_workers
 
         return resolve_n_workers(self.n_workers)
-
-    @property
-    def effective_runtime_backend(self) -> str:
-        """Resolved runtime backend: ``runtime_backend``,
-        ``$REPRO_RUNTIME_BACKEND``, or ``"thread"``."""
-        from repro.runtime import resolve_runtime_backend
-
-        return resolve_runtime_backend(self.runtime_backend)
 
     @property
     def effective_reuse_analysis(self) -> bool:

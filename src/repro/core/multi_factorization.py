@@ -45,7 +45,7 @@ dense ``k × k`` block never exists when the rank test passes; blocks
 whose rank test fails (or that sit below ``front_compress_min``) fall
 back to the dense product.  Per-block seeded RNG
 (``default_rng([seed, i, j])``) keeps the result independent of worker
-count, backend and scheduling order.
+count and scheduling order.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ from repro.core.schur_tools import (
     make_schur_container,
 )
 from repro.fembem.cases import CoupledProblem
-from repro.hmatrix.hmatrix import HMatrix
-from repro.memory.tracker import MemoryTracker
-from repro.runtime import PanelTask, choose_auto_backend, make_runtime
+from repro.runtime import PanelTask, ParallelRuntime
 from repro.sparse.multifrontal import FrontArena
 from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
@@ -73,34 +71,6 @@ from repro.sparse.symbolic_cache import SymbolicCache
 def _surface_blocks(n_s: int, n_b: int):
     """Split the surface indices into ``n_b`` contiguous near-equal blocks."""
     return np.array_split(np.arange(n_s), min(n_b, n_s))
-
-
-# -- process-backend worker context and kernel ----------------------------------
-#
-# Module-level (hence picklable) counterpart of the ``block_task`` closure,
-# run inside worker processes by :class:`repro.runtime.ProcessRuntime`.
-# Each worker owns a private sparse solver (fresh untracked tracker, its
-# own symbolic cache and front arena); the factors of non-final blocks die
-# in the worker — only the Schur block (dense, via a shared-memory slab)
-# or its pre-compressed portable plan travels back.  The *last* block runs
-# inline on the coordinator so its factors stay available for the
-# right-hand-side solves.
-
-
-def _facto_worker_ctx(payload):
-    """Pool-initializer builder: per-process solver state from the payload."""
-    tracker = MemoryTracker()
-    payload["sparse"] = SparseSolver(
-        ordering=payload["ordering"],
-        leaf_size=payload["nd_leaf_size"],
-        amalgamate=payload["amalgamate"],
-        blr=payload["blr"],
-        tracker=tracker,
-        symbolic_cache=SymbolicCache() if payload["reuse_analysis"] else None,
-    )
-    payload["arena"] = FrontArena(tracker)
-    payload["sym_counts"] = [0, 0]  # (analyses, reuses) last reported
-    return payload
 
 
 def _build_w_block(a_vv, a_sv, rows_i, cols_j, dtype):
@@ -126,76 +96,6 @@ def _build_w_block(a_vv, a_sv, rows_i, cols_j, dtype):
     return w, np.arange(n_v, n_v + k)
 
 
-def _facto_block_kernel(w, timer, i: int, j: int):
-    """One W-block factorization+Schur on a worker process.
-
-    Returns ``(factor_bytes, d_analyses, d_reuses, X_or_plan)`` — the
-    4-tuple shape the consumer uses to tell a worker result from the
-    thread backend's ``(mf_ij, plan)``.
-    """
-    blocks = w["blocks"]
-    rows_i, cols_j = blocks[i], blocks[j]
-    k_i, k_j = len(rows_i), len(cols_j)
-    w_mat, schur_vars = _build_w_block(
-        w["a_vv"], w["a_sv"], rows_i, cols_j, w["dtype"]
-    )
-    symmetric_block = (
-        w["exploit_diag_sym"] and w["symmetric"] and i == j and k_i == k_j
-    )
-    sparse = w["sparse"]
-    with timer.phase("sparse_factorization_schur"):
-        mf_ij = sparse.factorize_schur(
-            w_mat, schur_vars, coords_interior=w["coords_v"],
-            symmetric_values=symmetric_block,
-            timer=timer, arena=w["arena"],
-        )
-    factor_bytes = mf_ij.factor_bytes
-    d_an = sparse.n_symbolic_analyses - w["sym_counts"][0]
-    d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
-    w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
-    x_block, x_alloc = mf_ij.take_schur()
-    try:
-        skel = w.get("skeleton")
-        if skel is not None and w["accumulate"]:
-            before = skel.n_panel_compressions
-            with timer.phase("schur_precompress"):
-                # axpy-ok: skeleton stages nothing; plan commits+flushes on tree
-                plan = skel.precompress_axpy(
-                    1.0, x_block[:k_i, :k_j], rows_i, cols_j,
-                    compressor=w["compressor"],
-                )
-            body = HMatrix.export_plan(
-                plan, skel.n_panel_compressions - before
-            )
-        else:
-            body = np.ascontiguousarray(x_block[:k_i, :k_j])
-    finally:
-        del x_block
-        x_alloc.free()
-        mf_ij.free()
-    return factor_bytes, d_an, d_re, body
-
-
-def _sampling_callbacks(sampler, rng, epsilon, dtype, start_rank, oversample):
-    """The two callbacks :meth:`precompress_axpy_sampled` walks with.
-
-    Shared by the thread closure and the process kernel so both backends
-    consume the per-block seeded ``rng`` in the identical deterministic
-    tree order — sampled plans are bit-identical across backends.
-    """
-
-    def sample_rk(grows, gcols):
-        return sample_schur_block_rk(
-            sampler, grows, gcols, epsilon, rng, dtype,
-            start_rank=start_rank, oversample=oversample,
-        )
-
-    def dense_piece(grows, gcols):
-        return sampler.dense_block_exact(grows, gcols, dtype)
-
-    return sample_rk, dense_piece
-
-
 def _sample_min_dim(start_rank: int, oversample: int) -> int:
     """Quadrant size below which sampling cannot beat one dense solve.
 
@@ -204,49 +104,6 @@ def _sample_min_dim(start_rank: int, oversample: int) -> int:
     ``n`` columns in one solve — sampling only wins with room to spare.
     """
     return max(64, 2 * (start_rank + oversample))
-
-
-def _facto_sampled_kernel(w, timer, i: int, j: int):
-    """Sampled-border block on a worker process (``config.front_compress``).
-
-    Returns ``(factor_bytes, d_analyses, d_reuses, portable_plan,
-    n_sampled, n_fallbacks)`` — the 6-tuple shape tells the consumer this
-    was a sampled task from a worker.
-    """
-    blocks = w["blocks"]
-    rows_i, cols_j = blocks[i], blocks[j]
-    sparse = w["sparse"]
-    with timer.phase("sparse_factorization_schur"):
-        mf_ij = sparse.factorize(
-            w["a_vv"], coords=w["coords_v"],
-            symmetric_values=w["symmetric"], timer=timer, arena=w["arena"],
-        )
-    factor_bytes = mf_ij.factor_bytes
-    d_an = sparse.n_symbolic_analyses - w["sym_counts"][0]
-    d_re = sparse.n_symbolic_reuses - w["sym_counts"][1]
-    w["sym_counts"] = [sparse.n_symbolic_analyses, sparse.n_symbolic_reuses]
-    skel = w["skeleton"]
-    sampler = CorrectionSampler(mf_ij, w["a_sv"])
-    rng = np.random.default_rng([w["seed"], i, j])
-    sample_rk, dense_piece = _sampling_callbacks(
-        sampler, rng, w["epsilon"], w["dtype"],
-        w["start_rank"], w["front_oversample"],
-    )
-    try:
-        before = skel.n_panel_compressions
-        with timer.phase("schur_sampling"):
-            # axpy-ok: skeleton stages nothing; plan commits on the tree
-            plan, n_sampled, n_fallbacks = skel.precompress_axpy_sampled(
-                -1.0, rows_i, cols_j, sample_rk, dense_piece,
-                min_sample_dim=_sample_min_dim(
-                    w["start_rank"], w["front_oversample"]
-                ),
-                compressor=w["compressor"],
-            )
-        body = HMatrix.export_plan(plan, skel.n_panel_compressions - before)
-    finally:
-        mf_ij.free()
-    return factor_bytes, d_an, d_re, body, n_sampled, n_fallbacks
 
 
 def make_multi_factorization_context(
@@ -305,41 +162,7 @@ def assemble_multi_factorization(ctx: RunContext):
             len(blocks[i]), len(blocks[j])
         ) >= sample_min
 
-    backend = ctx.runtime_backend
-    if backend == "auto":
-        k_max = max(len(b) for b in blocks)
-        backend = choose_auto_backend(k_max * k_max * itemsize,
-                                      ctx.n_workers)
-        ctx.runtime_backend = backend
-    worker_payload = None
-    if backend == "process":
-        worker_payload = {
-            "a_vv": problem.a_vv,
-            "a_sv": problem.a_sv,
-            "coords_v": problem.coords_v,
-            "symmetric": problem.symmetric,
-            "dtype": problem.dtype,
-            "blocks": blocks,
-            "ordering": config.ordering,
-            "nd_leaf_size": config.nd_leaf_size,
-            "amalgamate": config.amalgamate,
-            "blr": config.blr_config(),
-            "reuse_analysis": config.effective_reuse_analysis,
-            "exploit_diag_sym": config.mf_exploit_diagonal_symmetry,
-            "accumulate": accumulate,
-        }
-        if accumulate or sampled:
-            worker_payload["skeleton"] = container.structure_skeleton()
-            worker_payload["compressor"] = config.compressor
-        if sampled:
-            worker_payload["seed"] = config.seed
-            worker_payload["epsilon"] = config.epsilon
-            worker_payload["start_rank"] = config.randomized_start_rank
-            worker_payload["front_oversample"] = sample_oversample
-    runtime = make_runtime(
-        ctx.tracker, ctx.n_workers, "multi-facto", backend=backend,
-        worker_payload=worker_payload, worker_builder=_facto_worker_ctx,
-    )
+    runtime = ParallelRuntime(ctx.tracker, ctx.n_workers, "multi-facto")
 
     def block_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
         """One ``W = [[A_vv, A_sv_jᵀ], [A_sv_i, 0]]`` factorization+Schur."""
@@ -403,13 +226,6 @@ def assemble_multi_factorization(ctx: RunContext):
             category="schur_block",
             label=f"W block ({i},{j})",
             payload=(i, j, is_last, "w"),
-            kernel=_facto_block_kernel,
-            kernel_args=(i, j),
-            result_nbytes=0 if accumulate else k * k * itemsize,
-            # the last block's factors must live in the coordinator for
-            # the right-hand-side solves; the process backend runs it
-            # there once the pool has drained
-            inline=is_last,
         )
 
     def sampled_task(seq: int, i: int, j: int, is_last: bool) -> PanelTask:
@@ -435,12 +251,19 @@ def assemble_multi_factorization(ctx: RunContext):
                 )
             sampler = CorrectionSampler(mf_ij, problem.a_sv)
             # per-block seeding: the samples depend on (seed, i, j) only,
-            # never on which worker or backend runs the block
+            # never on which worker runs the block
             rng = np.random.default_rng([config.seed, i, j])
-            sample_rk, dense_piece = _sampling_callbacks(
-                sampler, rng, config.epsilon, problem.dtype,
-                config.randomized_start_rank, sample_oversample,
-            )
+
+            def sample_rk(grows, gcols):
+                return sample_schur_block_rk(
+                    sampler, grows, gcols, config.epsilon, rng,
+                    problem.dtype, start_rank=config.randomized_start_rank,
+                    oversample=sample_oversample,
+                )
+
+            def dense_piece(grows, gcols):
+                return sampler.dense_block_exact(grows, gcols, problem.dtype)
+
             with timer.phase("schur_sampling"):
                 plan, n_sampled, n_fallbacks = (
                     container.precompress_subtract_sampled(
@@ -461,10 +284,6 @@ def assemble_multi_factorization(ctx: RunContext):
             category="schur_block",
             label=f"sampled border ({i},{j})",
             payload=(i, j, is_last, "sampled"),
-            kernel=_facto_sampled_kernel,
-            kernel_args=(i, j),
-            result_nbytes=0,
-            inline=is_last,
         )
 
     def consume(task, result):
@@ -474,47 +293,11 @@ def assemble_multi_factorization(ctx: RunContext):
         ctx.n_sparse_factorizations += 1
         phase = "schur_compression" if compressed else "schur_assembly"
         if mode == "sampled":
-            if len(result) == 6:
-                # process-backend worker result: factors died in the
-                # worker, a portable plan (sampled + fallback folds)
-                # came back
-                factor_bytes, d_an, d_re, body, n_sampled, n_fb = result
-                ctx.n_symbolic_analyses += d_an
-                ctx.n_symbolic_reuses += d_re
-                state["factor_bytes"] = max(
-                    state["factor_bytes"], factor_bytes
-                )
-                with ctx.timer.phase(phase):
-                    container.commit(body)
-            else:
-                mf_ij, plan, n_sampled, n_fb = result
-                state["factor_bytes"] = max(
-                    state["factor_bytes"], mf_ij.factor_bytes
-                )
-                with ctx.timer.phase(phase):
-                    container.commit(plan)
-                if is_last:
-                    state["mf"] = mf_ij
-                else:
-                    mf_ij.free()
+            mf_ij, plan, n_sampled, n_fb = result
             ctx.n_sampled_borders += n_sampled
             ctx.n_border_fallbacks += n_fb
-            return
-        if len(result) == 4:
-            # process-backend worker result: the block's factors died in
-            # the worker — only the Schur body (dense or portable plan)
-            # and its instrumentation deltas came back
-            factor_bytes, d_an, d_re, body = result
-            ctx.n_symbolic_analyses += d_an
-            ctx.n_symbolic_reuses += d_re
-            state["factor_bytes"] = max(state["factor_bytes"], factor_bytes)
-            with ctx.timer.phase(phase):
-                if isinstance(body, np.ndarray):
-                    container.add_block(body, rows_i, cols_j)
-                else:
-                    container.commit(body)
-            return
-        mf_ij, plan = result
+        else:
+            mf_ij, plan = result
         state["factor_bytes"] = max(
             state["factor_bytes"], mf_ij.factor_bytes
         )

@@ -52,44 +52,9 @@ from repro.core.schur_tools import (
     make_schur_container,
 )
 from repro.fembem.cases import CoupledProblem
-from repro.hmatrix.hmatrix import HMatrix
-from repro.runtime import PanelTask, choose_auto_backend, make_runtime
+from repro.runtime import PanelTask, ParallelRuntime
 from repro.sparse.solver import SparseSolver
 from repro.sparse.symbolic_cache import SymbolicCache
-
-
-# -- process-backend kernels ----------------------------------------------------
-#
-# Module-level (hence picklable) counterparts of the closures below, run
-# inside worker processes by :class:`repro.runtime.ProcessRuntime`.  The
-# large inputs — the stripped multifrontal factorization, the coupling
-# matrices, the HODLR structure skeleton — ship once per worker through the
-# pool initializer; each task pickle carries only the column range.
-
-
-def _panel_solve_kernel(w, timer, col_lo: int, col_hi: int):
-    """``Z = A_sv A_vv^{-1} (A_sv^T)_block`` on a worker process."""
-    rhs = w["a_sv_t"][:, col_lo:col_hi].tocsr()
-    with timer.phase("sparse_solve"):
-        y = w["mf"].solve(rhs, exploit_sparsity=w["exploit_sparse_rhs"])
-    with timer.phase("spmm"):
-        z = w["a_sv"] @ y
-    return z
-
-
-def _panel_precompress_kernel(w, timer, col_lo: int, col_hi: int):
-    """Solve + pre-compress one panel against the structure skeleton;
-    only the portable low-rank plan travels back to the coordinator."""
-    z = _panel_solve_kernel(w, timer, col_lo, col_hi)
-    skel = w["skeleton"]
-    before = skel.n_panel_compressions
-    with timer.phase("schur_precompress"):
-        # axpy-ok: skeleton stages nothing; plan commits+flushes on the tree
-        plan = skel.precompress_axpy(
-            -1.0, z, w["all_rows"], np.arange(col_lo, col_hi),
-            compressor=w["compressor"],
-        )
-    return HMatrix.export_plan(plan, skel.n_panel_compressions - before)
 
 
 def make_multi_solve_context(
@@ -180,37 +145,9 @@ def assemble_multi_solve(ctx: RunContext):
             category="solve_panel",
             label=f"Y/Z panel cols {col_lo}:{col_hi}",
             payload=(col_lo, col_hi),
-            kernel=_panel_solve_kernel,
-            kernel_args=(col_lo, col_hi),
-            result_nbytes=n_s * width * itemsize,
         )
 
-    backend = ctx.runtime_backend
-    if backend == "auto":
-        # one task = one n_s × n_c result panel
-        backend = choose_auto_backend(
-            n_s * config.n_c * itemsize, ctx.n_workers
-        )
-        ctx.runtime_backend = backend
-    worker_payload = None
-    if backend == "process":
-        # shipped once per worker: the factorization (tracker stripped by
-        # its __getstate__), the coupling matrices and — for the
-        # compressed container — a values-free skeleton of S's structure
-        worker_payload = {
-            "mf": mf,
-            "a_sv": problem.a_sv,
-            "a_sv_t": a_sv_t,
-            "exploit_sparse_rhs": config.exploit_sparse_rhs,
-            "all_rows": all_rows,
-        }
-        if compressed and config.schur_assembly != "randomized":
-            worker_payload["skeleton"] = container.structure_skeleton()
-            worker_payload["compressor"] = config.compressor
-    runtime = make_runtime(
-        ctx.tracker, ctx.n_workers, "multi-solve", backend=backend,
-        worker_payload=worker_payload,
-    )
+    runtime = ParallelRuntime(ctx.tracker, ctx.n_workers, "multi-solve")
     try:
         if not compressed:
             # Algorithm 1: dense S, assembled column block by column block;
@@ -301,8 +238,6 @@ def assemble_multi_solve(ctx: RunContext):
                     category="solve_panel",
                     label=f"Z panel precompress cols {col_lo}:{col_hi}",
                     payload=(col_lo, col_hi),
-                    kernel=_panel_precompress_kernel,
-                    kernel_args=(col_lo, col_hi),
                 )
 
             def consume(task, plan):

@@ -27,7 +27,7 @@ from repro.dense.solver import DenseSolver
 from repro.fembem.cases import CoupledProblem
 from repro.hmatrix.cluster import build_cluster_tree
 from repro.hmatrix.factorization import HLUFactorization
-from repro.hmatrix.hmatrix import PortableAxpyPlan, build_hodlr
+from repro.hmatrix.hmatrix import build_hodlr
 from repro.memory.tracker import MemoryTracker
 from repro.utils.timer import PhaseTimer
 
@@ -49,7 +49,6 @@ class RunContext:
         self.n_symbolic_analyses = 0
         self.n_symbolic_reuses = 0
         self.n_workers = config.effective_n_workers
-        self.runtime_backend = config.effective_runtime_backend
         #: Sampled-border pipeline counters (``config.front_compress``):
         #: borders built directly in low-rank form vs. blocks whose rank
         #: test failed and fell back to the dense product.
@@ -95,7 +94,6 @@ class RunContext:
                 "epsilon": self.config.epsilon,
                 "sparse_compression": self.config.sparse_compression,
                 "n_workers": self.n_workers,
-                "runtime_backend": self.runtime_backend,
                 "reuse_analysis": self.config.effective_reuse_analysis,
                 "axpy_accumulate": self.config.effective_axpy_accumulate,
                 "front_compress": self.config.effective_front_compress,
@@ -294,21 +292,9 @@ class HodlrSchurContainer:
             compressor=self.config.compressor,
         )
 
-    def structure_skeleton(self):
-        """Values-free copy of ``S``'s structure for worker processes
-        (see :meth:`repro.hmatrix.hmatrix.HMatrix.structure_skeleton`)."""
-        return self.s.structure_skeleton()
-
     def commit(self, plan) -> None:
-        """Apply a pre-compressed plan (must run serialized, in order).
-
-        Accepts either an :class:`~repro.hmatrix.hmatrix.AxpyPlan` built
-        against this container's tree or the
-        :class:`~repro.hmatrix.hmatrix.PortableAxpyPlan` a worker process
-        pre-compressed against the structure skeleton.
-        """
-        if isinstance(plan, PortableAxpyPlan):
-            plan = self.s.import_plan(plan)
+        """Apply a pre-compressed :class:`~repro.hmatrix.hmatrix.AxpyPlan`
+        (must run serialized, in order)."""
         self._apply_deltas(*self.s.commit_axpy(
             plan, accumulate=self._accumulate,
             max_accumulated_rank=self._max_acc_rank,

@@ -202,39 +202,6 @@ class AxpyPlan:
                 + sum(f.nbytes for f in self.folds))
 
 
-class PortableAxpyPlan:
-    """Process-boundary form of an :class:`AxpyPlan`.
-
-    An :class:`AxpyPlan` references :class:`HNode` objects directly, so a
-    plan pickled in a worker process would arrive referencing *copies* of
-    the tree.  The portable form addresses every update by the target
-    node's permuted ``(start, stop)`` range instead — unique per diagonal
-    block in a HODLR tree — and is resolved against the coordinator's
-    real tree by :meth:`HMatrix.import_plan`.
-
-    ``panel_compressions`` carries the worker-side SVD/ACA count so the
-    coordinator's instrumentation stays faithful across backends.
-    """
-
-    __slots__ = ("alpha", "leaves", "folds", "panel_compressions")
-
-    def __init__(self, alpha, leaves, folds, panel_compressions: int = 0):
-        self.alpha = alpha
-        #: list of ``(start, stop, rows, cols, piece)``
-        self.leaves = leaves
-        #: list of ``(start, stop, side, u, v, rows, cols)``
-        self.folds = folds
-        self.panel_compressions = int(panel_compressions)
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            sum(piece.nbytes for *_ignored, piece in self.leaves)
-            + sum(u.nbytes + v.nbytes
-                  for _s, _e, _side, u, v, _r, _c in self.folds)
-        )
-
-
 class HMatrix:
     """Square hierarchical low-rank matrix over a cluster tree."""
 
@@ -250,18 +217,6 @@ class HMatrix:
         self._n_panel_compressions = 0  # guarded-by: _axpy_lock
         self._n_offdiag_updates = 0  # guarded-by: _axpy_lock
         self._n_offdiag_recompressions = 0  # guarded-by: _axpy_lock
-        self._node_by_range = None  # lazy {(start, stop): HNode} map
-
-    # -- pickling (process-backend worker shipping) ------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_axpy_lock"]
-        state["_node_by_range"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._axpy_lock = threading.Lock()
 
     # -- compressed-AXPY counters ------------------------------------------------
     @property
@@ -621,7 +576,7 @@ class HMatrix:
         counts quadrants where sampling was *attempted* and refused.
         Thread-safe like :meth:`precompress_axpy`; callbacks are invoked in
         deterministic tree order, so a seeded sampler yields identical
-        plans on every backend.
+        plans for any worker count.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
@@ -808,77 +763,6 @@ class HMatrix:
     def pending_accumulator_nbytes(self) -> int:
         """Bytes currently held by unflushed accumulators (tree walk)."""
         return self.root.pending_nbytes()
-
-    # -- portable plans (process backend) ----------------------------------------
-    def structure_skeleton(self) -> "HMatrix":
-        """A values-free copy sharing this matrix's cluster structure.
-
-        The skeleton carries only what :meth:`precompress_axpy` reads —
-        the node ranges, split points and ``tree.inv_perm`` — with empty
-        dense leaves and no off-diagonal factors.  It is small enough to
-        ship to worker processes once, letting them plan panels against
-        the exact same structure the coordinator commits into.
-        """
-
-        def build(node: HNode) -> HNode:
-            out = HNode(node.start, node.stop)
-            out.mid = node.mid
-            if node.is_leaf:
-                out.dense = np.empty((0, 0), dtype=self.dtype)
-            else:
-                out.h11 = build(node.h11)
-                out.h22 = build(node.h22)
-            return out
-
-        return HMatrix(self.tree, build(self.root), self.tol, self.dtype)
-
-    def _range_node(self, start: int, stop: int) -> HNode:
-        # lazy map, built once; only the consume thread imports plans so
-        # the unguarded memoisation is safe
-        if self._node_by_range is None:
-            mapping = {}
-
-            def walk(node: HNode) -> None:
-                mapping[(node.start, node.stop)] = node
-                if not node.is_leaf:
-                    walk(node.h11)
-                    walk(node.h22)
-
-            walk(self.root)
-            self._node_by_range = mapping
-        return self._node_by_range[(start, stop)]
-
-    @staticmethod
-    def export_plan(plan: AxpyPlan,
-                    panel_compressions: int = 0) -> PortableAxpyPlan:
-        """Convert a plan into its node-reference-free portable form."""
-        leaves = [(u.node.start, u.node.stop, u.rows, u.cols, u.piece)
-                  for u in plan.leaves]
-        folds = [(f.node.start, f.node.stop, f.side, f.small.u, f.small.v,
-                  f.rows, f.cols)
-                 for f in plan.folds]
-        return PortableAxpyPlan(plan.alpha, leaves, folds, panel_compressions)
-
-    def import_plan(self, portable: PortableAxpyPlan) -> AxpyPlan:
-        """Resolve a :class:`PortableAxpyPlan` against *this* tree.
-
-        Returns an :class:`AxpyPlan` ready for :meth:`commit_axpy`, and
-        folds the worker-side compression count into this matrix's
-        instrumentation.
-        """
-        plan = AxpyPlan(portable.alpha)
-        for start, stop, rows, cols, piece in portable.leaves:
-            plan.leaves.append(
-                _LeafUpdate(self._range_node(start, stop), rows, cols, piece)
-            )
-        for start, stop, side, u, v, rows, cols in portable.folds:
-            plan.folds.append(
-                _FoldUpdate(self._range_node(start, stop), side,
-                            RkMatrix(u, v), rows, cols)
-            )
-        if portable.panel_compressions:
-            self._count(panel=portable.panel_compressions)
-        return plan
 
     # -- low-rank AXPY (used by the hierarchical factorization) -----------------------
     def add_rk(self, rk: RkMatrix) -> None:

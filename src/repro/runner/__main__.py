@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 
+from repro.core.config import DENSE_BACKENDS
 from repro.runner import experiments, reporting
 from repro.runner.workloads import PIPE_STUDY_SIZES
 
@@ -85,7 +86,8 @@ def _cmd_serve(args) -> str:
     return "server stopped"
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.runner`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
         description="Regenerate the paper's tables and figures "
@@ -95,15 +97,6 @@ def main(argv=None) -> int:
         "--n-workers", type=int, default=None, metavar="K",
         help="width of the parallel panel runtime for every solve "
              "(default: $REPRO_N_WORKERS or 1; results are bit-identical)",
-    )
-    parser.add_argument(
-        "--runtime-backend", choices=("thread", "process", "auto"),
-        default=None,
-        help="execution backend of the parallel panel runtime "
-             "(default: $REPRO_RUNTIME_BACKEND or 'thread'; 'process' runs "
-             "panel kernels in worker processes with shared-memory results "
-             "— bit-identical solutions, true multi-core scaling; 'auto' "
-             "picks per run from task size and worker count)",
     )
     parser.add_argument(
         "--front-compress", dest="front_compress",
@@ -163,7 +156,7 @@ def main(argv=None) -> int:
     ps.add_argument("--socket", default=None,
                     help="unix socket path (default: per-PID under $TMPDIR)")
     ps.add_argument("--dense-backend", default="hmat",
-                    choices=("dense", "hmat"),
+                    choices=DENSE_BACKENDS,
                     help="Schur backend of served factorizations")
     ps.add_argument("--cache", action=argparse.BooleanOptionalAction,
                     default=True,
@@ -182,7 +175,11 @@ def main(argv=None) -> int:
                     help="panel column cap (default: DEFAULT_RHS_PANEL)")
     ps.add_argument("--executor-threads", type=int, default=2,
                     help="blocking-work executor threads")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.n_workers is not None:
         if args.n_workers < 1:
@@ -192,10 +189,6 @@ def main(argv=None) -> int:
         from repro.runtime.scheduler import N_WORKERS_ENV
 
         os.environ[N_WORKERS_ENV] = str(args.n_workers)
-    if args.runtime_backend is not None:
-        from repro.runtime import RUNTIME_BACKEND_ENV
-
-        os.environ[RUNTIME_BACKEND_ENV] = args.runtime_backend
     if args.reuse_analysis is not None:
         from repro.sparse.symbolic_cache import REUSE_ANALYSIS_ENV
 

@@ -7,28 +7,8 @@ factorizations) on a thread pool — the NumPy/SciPy kernels underneath
 release the GIL — with **budget-aware admission control** against the run's
 :class:`~repro.memory.tracker.MemoryTracker` and a **deterministic
 reduction order**, so solutions are bit-identical for any worker count.
-
-For workloads whose pure-Python share contends on the GIL, the
-:class:`~repro.runtime.process_backend.ProcessRuntime` executes the same
-task sequences on a process pool with shared-memory result panels and
-coordinator-side accounting — same admission semantics, same ordered
-consume, genuinely concurrent kernels.  Select it with
-``SolverConfig.runtime_backend="process"``, ``$REPRO_RUNTIME_BACKEND`` or
-``--runtime-backend`` (see ``docs/scaling.md`` §11).  ``"auto"`` lets each
-algorithm pick per run from its task size and worker count
-(:func:`~repro.runtime.process_backend.choose_auto_backend`).
 """
 
-from repro.runtime.process_backend import (
-    AUTO_PROCESS_MIN_TASK_BYTES,
-    RUNTIME_BACKEND_ENV,
-    RUNTIME_BACKENDS,
-    ProcessRuntime,
-    choose_auto_backend,
-    make_runtime,
-    resolve_runtime_backend,
-    worker_cache,
-)
 from repro.runtime.scheduler import (
     PanelTask,
     ParallelRuntime,
@@ -36,15 +16,7 @@ from repro.runtime.scheduler import (
 )
 
 __all__ = [
-    "AUTO_PROCESS_MIN_TASK_BYTES",
     "PanelTask",
-    "choose_auto_backend",
     "ParallelRuntime",
-    "ProcessRuntime",
-    "RUNTIME_BACKENDS",
-    "RUNTIME_BACKEND_ENV",
-    "make_runtime",
     "resolve_n_workers",
-    "resolve_runtime_backend",
-    "worker_cache",
 ]

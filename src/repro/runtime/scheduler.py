@@ -89,33 +89,16 @@ class PanelTask:
     label: str = ""
     #: Opaque context handed back to the consumer alongside the result.
     payload: Any = None
-    #: Picklable module-level alternative to ``fn`` for the process
-    #: backend: ``kernel(worker_ctx, timer, *kernel_args)`` runs in a
-    #: worker process against the context shipped by the pool initializer.
-    #: The thread backend ignores these fields.
-    kernel: Optional[Callable] = None
-    kernel_args: tuple = ()
-    #: Upper bound on the task's ndarray result bytes; when positive the
-    #: process backend routes the result through a shared-memory slab
-    #: instead of the result pickle.
-    result_nbytes: int = 0
-    #: Process backend: run on the coordinator via ``fn`` after every
-    #: pooled task has drained (used for a task whose side effects must
-    #: stay in the coordinator process, e.g. the last multi-factorization
-    #: block whose factors serve the right-hand-side solves).
-    inline: bool = False
 
 
 @dataclass
 class RuntimeReport:
-    """Aggregated execution statistics of one parallel runtime.
+    """Aggregated execution statistics of one :class:`ParallelRuntime`.
 
-    Shared by the thread backend (:class:`ParallelRuntime`) and the
-    process backend (:class:`~repro.runtime.process_backend
-    .ProcessRuntime`).  ``run_wall_seconds`` is the coordinator wall-clock
-    time spent inside :meth:`ParallelRuntime.run` calls — the
-    parallelisable assembly window — which the scaling bench uses to
-    measure backend speedup without the serial phases diluting it.
+    ``run_wall_seconds`` is the coordinator wall-clock time spent inside
+    :meth:`ParallelRuntime.run` calls — the parallelisable assembly
+    window — which the scaling bench uses to measure the runtime's
+    speedup without the serial phases diluting it.
     """
 
     n_workers: int = 1
@@ -123,7 +106,6 @@ class RuntimeReport:
     worker_phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
     scheduler_wait_seconds: float = 0.0
     run_wall_seconds: float = 0.0
-    backend: str = "thread"
 
 
 class ParallelRuntime:
@@ -352,7 +334,6 @@ class ParallelRuntime:
             worker_phases=self.worker_phases,
             scheduler_wait_seconds=self.scheduler_wait_seconds,
             run_wall_seconds=self._run_wall,
-            backend="thread",
         )
 
     def finalize(self, main_timer: PhaseTimer) -> RuntimeReport:

@@ -55,7 +55,6 @@ FACTOR_CACHE_CATEGORY = "factor_cache"
 #: the factor bytes, plus the serving knobs themselves.
 _FINGERPRINT_EXCLUDED_FIELDS = frozenset({
     "n_workers",            # bit-identical by the runtime's ordered commit
-    "runtime_backend",      # bit-identical across thread/process backends
     "reuse_analysis",       # bit-identical by the border-grafting contract
     "memory_limit",         # affects admission, never values
     "serve_cache_entries",
@@ -67,9 +66,22 @@ _FINGERPRINT_EXCLUDED_FIELDS = frozenset({
 })
 
 
+#: Factor-relevant fields that fall back to a ``$REPRO_*`` variable when
+#: unset: the key hashes their resolved ``effective_*`` value, so an
+#: environment override that changes the factors also changes the key.
+_FINGERPRINT_RESOLVED_FIELDS = (
+    "front_compress",
+    "front_compress_min",
+    "front_sample_oversampling",
+    "axpy_accumulate",
+)
+
+
 def config_fingerprint_fields(config: SolverConfig) -> Dict[str, Any]:
     """The ``SolverConfig`` fields that participate in the system key."""
     fields = dataclasses.asdict(config)
+    for name in _FINGERPRINT_RESOLVED_FIELDS:
+        fields[name] = getattr(config, f"effective_{name}")
     return {k: v for k, v in sorted(fields.items())
             if k not in _FINGERPRINT_EXCLUDED_FIELDS}
 

@@ -14,31 +14,29 @@ A snapshot is a plain JSON-able dict, served over the wire for the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 
 class _LatencyAggregate:
-    """Count/total/max plus a bounded reservoir for percentiles."""
+    """Count/total/max plus a window of recent samples for percentiles."""
 
-    __slots__ = ("count", "total", "max", "_samples", "_cap")
+    __slots__ = ("count", "total", "max", "_samples")
 
     def __init__(self, sample_cap: int = 4096) -> None:
         self.count = 0
         self.total = 0.0
         self.max = 0.0
-        self._samples: List[float] = []
-        self._cap = int(sample_cap)
+        # the most recent samples: percentiles keep tracking a
+        # long-running server, with no RNG to keep deterministic
+        self._samples: Deque[float] = deque(maxlen=int(sample_cap))
 
     def add(self, seconds: float) -> None:
         seconds = float(seconds)
         self.count += 1
         self.total += seconds
         self.max = max(self.max, seconds)
-        # keep the first cap samples: the synthetic bench loads are far
-        # below the cap, and a truthful prefix beats a biased reservoir
-        # that would need a (determinism-checked) RNG
-        if len(self._samples) < self._cap:
-            self._samples.append(seconds)
+        self._samples.append(seconds)
 
     def percentile(self, q: float) -> Optional[float]:
         """Nearest-rank percentile over the retained samples."""

@@ -138,15 +138,6 @@ class _FrontFactor:
         self.u12 = None   # (n_own, n_bnd) panel (lu mode only), possibly Rk
         self.alloc = None
 
-    def __getstate__(self):
-        # the tracker handle stays behind when factors are pickled to a
-        # process-backend worker: accounting is coordinator-side by design
-        return {s: getattr(self, s) for s in self.__slots__ if s != "alloc"}
-
-    def __setstate__(self, state):
-        for s in self.__slots__:
-            setattr(self, s, state.get(s))
-
     def nbytes(self) -> int:
         total = 0
         if self.l11 is not None:
@@ -232,25 +223,6 @@ class MultifrontalFactorization:
                 self._factorize(a, own_arena)
             finally:
                 own_arena.free()
-
-    # -- pickling (process-backend worker shipping) ------------------------------
-    def __getstate__(self):
-        """Detached state for shipping factors to a worker process.
-
-        The coordinator keeps all :class:`MemoryTracker` accounting; the
-        worker-side copy carries a fresh untracked tracker, so its nested
-        ``solve`` workspaces charge nothing (their budget is reserved as
-        admission headroom on the coordinator).
-        """
-        state = self.__dict__.copy()
-        state["tracker"] = None
-        state["_schur_alloc"] = None
-        state["_timer"] = None  # PhaseTimer holds a lock
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.tracker = MemoryTracker()
 
     # -- setup helpers ----------------------------------------------------------
     def _owner_of_interior(self) -> np.ndarray:

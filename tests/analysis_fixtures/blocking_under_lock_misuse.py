@@ -39,7 +39,3 @@ class Scheduler:
     def nonblocking_probe(self):
         with self._lock:
             return self.gate.acquire(blocking=False)  # clean
-
-    def slab_pop_under_lock(self):
-        with self._lock:
-            return self._slab_pool.acquire()  # clean: free-list pop

@@ -28,7 +28,7 @@ from repro.fembem import generate_aircraft_case, generate_pipe_case
 
 #: test modules whose lock usage the watchdog verifies end to end
 _WATCHDOG_MODULES = {"test_runtime", "test_symbolic_cache",
-                     "test_compressed_axpy", "test_process_backend",
+                     "test_compressed_axpy",
                      "test_factorized", "test_serving_cache",
                      "test_serving", "test_compressed_fronts"}
 

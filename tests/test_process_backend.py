@@ -1,19 +1,24 @@
-"""Tests of the process-pool execution backend (:mod:`repro.runtime`).
+"""Panel-runtime guarantees first stated for the retired process pool.
 
-Covers backend resolution (config / environment / CLI plumbing), the
-coordinator-side scheduler mechanics (ordered consume, budget-aware
-admission with drain-and-retry, shared-memory result slabs, error
-propagation), and end-to-end backend parity: the ``process`` backend must
-produce byte-identical Schur complements, solutions and — at
-``n_workers=1`` — tracker peaks compared to the default ``thread``
-backend, for both coupling algorithms and both dense backends.
+The thread pool (:class:`repro.runtime.ParallelRuntime`) is the only panel
+runtime.  The guarantees these tests pin used to be checked against a
+second, process-based runtime; they now hold the thread runtime to the
+same contract from angles ``test_runtime.py`` does not take:
 
-Runs under the lock-order watchdog (see ``conftest.py``): the process
-backend must not introduce any new lock ordering on the coordinator.
+* scheduler mechanics — ``consume`` runs on the calling thread in task
+  order, budget pressure shows up in the runtime report, an oversized task
+  raises at every width, a failed run leaves the runtime reusable, the
+  serial width never starts a pool, and a closed runtime stays closed;
+* parity — the Schur complement ``S`` itself (not only the solution) is
+  byte-identical for any worker count, for both coupling algorithms and
+  both dense backends, and a serial run reproduces its tracked peak to
+  the byte;
+* memory-bounded execution of the compressed multi-solve.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -26,278 +31,143 @@ from repro.core.multi_solve import (
 )
 from repro.core.schur_tools import finalize_solution
 from repro.memory.tracker import MemoryTracker
-from repro.runtime import (
-    AUTO_PROCESS_MIN_TASK_BYTES,
-    PanelTask,
-    ProcessRuntime,
-    RUNTIME_BACKEND_ENV,
-    choose_auto_backend,
-    make_runtime,
-    resolve_runtime_backend,
-)
-from repro.utils.errors import ConfigurationError, MemoryLimitExceeded
+from repro.runtime import PanelTask, ParallelRuntime
+from repro.utils.errors import MemoryLimitExceeded
+from repro.utils.timer import PhaseTimer
 
 UNCOMPRESSED = SolverConfig(dense_backend="spido", n_c=64, n_b=2)
 COMPRESSED = SolverConfig(dense_backend="hmat", n_c=64, n_s_block=192, n_b=2)
 
 
 # ---------------------------------------------------------------------------
-# backend resolution
+# scheduler mechanics
 # ---------------------------------------------------------------------------
 
-class TestResolveBackend:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_BACKEND_ENV, "process")
-        assert resolve_runtime_backend("thread") == "thread"
+def _task(index, cost=0, delay=0.0):
+    def fn(timer, alloc):
+        if delay:
+            time.sleep(delay)
+        with timer.phase("sparse_solve"):
+            pass
+        return index
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_BACKEND_ENV, "process")
-        assert resolve_runtime_backend(None) == "process"
-
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv(RUNTIME_BACKEND_ENV, raising=False)
-        assert resolve_runtime_backend(None) == "thread"
-
-    def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_runtime_backend("greenlet")
-        monkeypatch.setenv(RUNTIME_BACKEND_ENV, "fiber")
-        with pytest.raises(ValueError):
-            resolve_runtime_backend(None)
-
-    def test_config_validation(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            SolverConfig(runtime_backend="greenlet")
-        monkeypatch.delenv(RUNTIME_BACKEND_ENV, raising=False)
-        assert SolverConfig().effective_runtime_backend == "thread"
-        cfg = SolverConfig(runtime_backend="process")
-        assert cfg.effective_runtime_backend == "process"
-
-    def test_auto_crossover_rule(self):
-        big = AUTO_PROCESS_MIN_TASK_BYTES
-        assert choose_auto_backend(big, 4) == "process"
-        assert choose_auto_backend(big, 2) == "process"
-        # small tasks: fork/IPC overhead dominates, stay on threads
-        assert choose_auto_backend(big - 1, 4) == "thread"
-        # no parallelism to win: never pay for a process pool
-        assert choose_auto_backend(big, 1) == "thread"
-
-    def test_config_accepts_auto(self):
-        assert SolverConfig(runtime_backend="auto").runtime_backend == "auto"
-
-    def test_make_runtime_rejects_unresolved_auto(self):
-        with pytest.raises(ValueError, match="auto"):
-            make_runtime(MemoryTracker(), 2, "a", backend="auto")
-
-    def test_auto_resolves_end_to_end(self, pipe_small):
-        _, sol, ctx = _assemble_and_solve(
-            pipe_small, "multi_solve",
-            UNCOMPRESSED.with_(n_workers=2, runtime_backend="auto"),
-        )
-        assert ctx.runtime_backend in ("thread", "process")
-        assert sol.stats.params["runtime_backend"] in ("thread", "process")
-        # and the run matches the explicitly-chosen backend bit for bit
-        _, ref, _ = _assemble_and_solve(
-            pipe_small, "multi_solve",
-            UNCOMPRESSED.with_(n_workers=2,
-                               runtime_backend=ctx.runtime_backend),
-        )
-        assert np.array_equal(sol.x, ref.x)
-
-    def test_make_runtime_dispatches(self):
-        from repro.runtime import ParallelRuntime
-
-        tracker = MemoryTracker()
-        with make_runtime(tracker, 1, "t", backend="thread") as runtime:
-            assert isinstance(runtime, ParallelRuntime)
-        with make_runtime(tracker, 1, "p", backend="process") as runtime:
-            assert isinstance(runtime, ProcessRuntime)
-
-
-# ---------------------------------------------------------------------------
-# coordinator scheduler mechanics (module-level kernels: picklable)
-# ---------------------------------------------------------------------------
-
-def _index_kernel(ctx, timer, index, delay):
-    if delay:
-        time.sleep(delay)
-    with timer.phase("sparse_solve"):
-        pass
-    return index
-
-
-def _array_kernel(ctx, timer, lo, hi):
-    return np.arange(lo, hi, dtype=np.float64) * ctx["scale"]
-
-
-def _pair_kernel(ctx, timer, n):
-    return n, np.full(n, float(n))
-
-
-def _boom_kernel(ctx, timer, index):
-    raise RuntimeError("panel exploded")
-
-
-def _task(index, kernel, args, cost=0, result_nbytes=0, sleep=0.0):
-    return PanelTask(index=index, fn=None, cost_bytes=cost,
-                     label=f"task {index}", kernel=kernel,
-                     kernel_args=args, result_nbytes=result_nbytes)
+    return PanelTask(index=index, fn=fn, cost_bytes=cost,
+                     label=f"task {index}")
 
 
 class TestProcessScheduler:
     def test_consumption_is_in_task_order(self):
-        # later tasks finish first: consumption must stay submission order
+        # later tasks finish first: consumption stays in submission order,
+        # and always on the thread that called run()
         tracker = MemoryTracker()
         seen = []
-        tasks = [
-            _task(i, _index_kernel, (i, 0.02 * (5 - i))) for i in range(5)
-        ]
-        with ProcessRuntime(tracker, n_workers=2) as runtime:
-            runtime.run(tasks, lambda task, result: seen.append(result))
+        caller = threading.get_ident()
+
+        def consume(task, result):
+            assert threading.get_ident() == caller
+            seen.append(result)
+
+        tasks = [_task(i, delay=0.02 * (5 - i)) for i in range(5)]
+        with ParallelRuntime(tracker, n_workers=2) as runtime:
+            runtime.run(tasks, consume)
         assert seen == list(range(5))
         tracker.assert_all_freed()
 
-    def test_array_results_round_trip_through_slabs(self):
-        tracker = MemoryTracker()
-        payload = {"scale": 3.0}
-        nbytes = 64 * 8
-        seen = []
-        tasks = [
-            _task(i, _array_kernel, (i * 64, (i + 1) * 64),
-                  result_nbytes=nbytes)
-            for i in range(6)
-        ]
-        with ProcessRuntime(tracker, n_workers=2,
-                            worker_payload=payload) as runtime:
-            runtime.run(tasks,
-                        lambda task, result: seen.append(result.copy()))
-        for i, arr in enumerate(seen):
-            expected = np.arange(i * 64, (i + 1) * 64, dtype=np.float64) * 3.0
-            assert np.array_equal(arr, expected)
-        tracker.assert_all_freed()
-
-    def test_tuple_results_ship_one_array_in_the_slab(self):
-        tracker = MemoryTracker()
-        seen = []
-        tasks = [_task(i, _pair_kernel, (32,), result_nbytes=32 * 8)
-                 for i in range(4)]
-        with ProcessRuntime(tracker, n_workers=2) as runtime:
-            runtime.run(
-                tasks, lambda task, r: seen.append((r[0], r[1].copy()))
-            )
-        assert [n for n, _arr in seen] == [32] * 4
-        assert all(np.array_equal(arr, np.full(32, 32.0))
-                   for _n, arr in seen)
-        tracker.assert_all_freed()
-
-    def test_undersized_slab_hint_falls_back_to_pickle(self):
-        # hint says 8 bytes, the result is 512: the worker must ship the
-        # array in the result pickle rather than corrupt the slab
-        tracker = MemoryTracker()
-        payload = {"scale": 1.0}
-        seen = []
-        tasks = [_task(0, _array_kernel, (0, 64), result_nbytes=8)]
-        with ProcessRuntime(tracker, n_workers=2,
-                            worker_payload=payload) as runtime:
-            runtime.run(tasks, lambda task, r: seen.append(r.copy()))
-        assert np.array_equal(seen[0], np.arange(64, dtype=np.float64))
-        tracker.assert_all_freed()
-
     def test_budget_admission_keeps_peak_within_limit(self):
-        # 8 tasks of 40 B under a 100 B limit: the coordinator may only
-        # have two outstanding at once and must drain to admit more
+        # 8 tasks of 40 B under a 100 B limit: at most two are outstanding
+        # at once, and the blocked admissions show in the runtime report
         tracker = MemoryTracker(limit_bytes=100)
         seen = []
-        tasks = [_task(i, _index_kernel, (i, 0.01), cost=40)
-                 for i in range(8)]
-        with ProcessRuntime(tracker, n_workers=4) as runtime:
+        tasks = [_task(i, cost=40, delay=0.01) for i in range(8)]
+        with ParallelRuntime(tracker, n_workers=4) as runtime:
             runtime.run(tasks, lambda task, result: seen.append(result))
             report = runtime.report()
         assert seen == list(range(8))
         assert tracker.peak <= 100
-        assert report.backend == "process"
-        assert "coordinator" in report.worker_phases
+        assert report.n_tasks == 8
+        assert report.scheduler_wait_seconds > 0.0
         tracker.assert_all_freed()
 
     def test_oversized_task_raises_like_serial(self):
-        tracker = MemoryTracker(limit_bytes=100)
-        with ProcessRuntime(tracker, n_workers=2) as runtime:
-            with pytest.raises(MemoryLimitExceeded):
-                runtime.run([_task(0, _index_kernel, (0, 0.0), cost=150)])
-            # the failed admission must still be on the books
-            assert runtime.scheduler_wait_seconds >= 0.0
-            assert "scheduler_wait" in runtime.worker_phases["coordinator"]
-        tracker.assert_all_freed()
+        for n_workers in (1, 2):
+            tracker = MemoryTracker(limit_bytes=100)
+            with ParallelRuntime(tracker, n_workers=n_workers) as runtime:
+                with pytest.raises(MemoryLimitExceeded):
+                    runtime.run([_task(0, cost=150)])
+                if n_workers > 1:
+                    # the failed admission is still on the books
+                    assert any("scheduler_wait" in phases
+                               for phases in runtime.worker_phases.values())
+            tracker.assert_all_freed()
 
     def test_task_error_propagates_and_frees_budget(self):
         tracker = MemoryTracker(limit_bytes=1000)
-        tasks = [_task(i, _index_kernel, (i, 0.0), cost=100)
-                 for i in range(6)]
-        tasks[2] = _task(2, _boom_kernel, (2,), cost=100)
-        with ProcessRuntime(tracker, n_workers=2) as runtime:
+
+        def boom(timer, alloc):
+            raise RuntimeError("panel exploded")
+
+        tasks = [_task(i, cost=100) for i in range(6)]
+        tasks[2] = PanelTask(index=2, fn=boom, cost_bytes=100)
+        with ParallelRuntime(tracker, n_workers=2) as runtime:
             with pytest.raises(RuntimeError, match="panel exploded"):
                 runtime.run(tasks, lambda t, r: None)
+            tracker.assert_all_freed()
+            # the failed run leaves the runtime usable for the next one
+            seen = []
+            runtime.run([_task(i, cost=100) for i in range(3)],
+                        lambda t, r: seen.append(r))
+        assert seen == [0, 1, 2]
         tracker.assert_all_freed()
 
     def test_worker_phases_report_per_process_totals(self):
+        # one phase table per pool thread; finalize() merges their sum
         tracker = MemoryTracker()
-        tasks = [_task(i, _index_kernel, (i, 0.0)) for i in range(6)]
-        runtime = ProcessRuntime(tracker, n_workers=2)
-        runtime.run(tasks, lambda t, r: None)
+        runtime = ParallelRuntime(tracker, n_workers=2)
+        runtime.run([_task(i, delay=0.005) for i in range(6)])
         report = runtime.report()
         workers = [k for k in report.worker_phases if k.startswith("worker-")]
         assert 1 <= len(workers) <= 2
-        from repro.utils.timer import PhaseTimer
-
+        assert len(workers) == len(report.worker_phases)
+        total_wait = sum(phases.get("scheduler_wait", 0.0)
+                         for phases in report.worker_phases.values())
         main = PhaseTimer()
         runtime.finalize(main)
-        assert main.get("scheduler_wait") >= 0.0
+        assert main.get("scheduler_wait") == pytest.approx(total_wait)
+        with pytest.raises(RuntimeError):
+            runtime.run([])  # finalize() closed the runtime
 
     def test_serial_width_runs_local_fns(self):
-        # n_workers=1 executes task.fn on the coordinator: identical
-        # accounting to the thread backend's serial path, no pool at all
+        # n_workers=1 executes task.fn on the caller thread with the same
+        # accounting as the pool, and never starts a pool
         tracker = MemoryTracker()
+        caller = threading.get_ident()
         seen = []
 
         def fn(timer, alloc):
             assert alloc.nbytes == 10
+            assert threading.get_ident() == caller
             return "local"
 
         task = PanelTask(index=0, fn=fn, cost_bytes=10)
-        with ProcessRuntime(tracker, n_workers=1) as runtime:
+        with ParallelRuntime(tracker, n_workers=1) as runtime:
             runtime.run([task], lambda t, r: seen.append(r))
             assert runtime._pool is None
         assert seen == ["local"]
-        tracker.assert_all_freed()
-
-    def test_inline_tasks_must_trail_pooled_tasks(self):
-        tracker = MemoryTracker()
-        tasks = [
-            PanelTask(index=0, fn=lambda t, a: None, inline=True),
-            _task(1, _index_kernel, (1, 0.0)),
-        ]
-        with ProcessRuntime(tracker, n_workers=2) as runtime:
-            with pytest.raises(RuntimeError, match="inline"):
-                runtime.run(tasks)
-        tracker.assert_all_freed()
-
-    def test_kernelless_task_is_rejected_by_the_pool(self):
-        tracker = MemoryTracker()
-        task = PanelTask(index=0, fn=lambda t, a: None)
-        with ProcessRuntime(tracker, n_workers=2) as runtime:
-            with pytest.raises(RuntimeError, match="kernel"):
-                runtime.run([task])
+        assert tracker.peak == 10
         tracker.assert_all_freed()
 
     def test_closed_runtime_rejects_runs(self):
-        runtime = ProcessRuntime(MemoryTracker(), n_workers=2)
+        # leaving the context manager closes the runtime, idempotently
+        tracker = MemoryTracker()
+        with ParallelRuntime(tracker, n_workers=2) as runtime:
+            runtime.run([_task(0)])
         runtime.close()
         with pytest.raises(RuntimeError):
             runtime.run([])
 
 
 # ---------------------------------------------------------------------------
-# end-to-end backend parity
+# end-to-end parity across worker counts
 # ---------------------------------------------------------------------------
 
 def _assemble_and_solve(problem, algorithm, config):
@@ -322,16 +192,15 @@ def _assemble_and_solve(problem, algorithm, config):
 
 
 class TestBackendParity:
-    """thread vs process: byte-identical S, solutions and (serial) peaks."""
+    """Serial vs pooled: byte-identical S and solutions, exact peaks."""
 
     _baselines: dict = {}
 
-    def _thread_run(self, problem, algorithm, config_id, config, n_workers):
-        key = (algorithm, config_id, n_workers)
+    def _serial_run(self, problem, algorithm, config):
+        key = (algorithm, config.dense_backend)
         if key not in self._baselines:
             self._baselines[key] = _assemble_and_solve(
-                problem, algorithm,
-                config.with_(n_workers=n_workers, runtime_backend="thread"),
+                problem, algorithm, config.with_(n_workers=1)
             )
         return self._baselines[key]
 
@@ -342,46 +211,44 @@ class TestBackendParity:
                              ids=["spido", "hmat"])
     def test_s_and_solution_are_byte_identical(self, pipe_small, algorithm,
                                                config, n_workers):
-        config_id = config.dense_backend
-        s_thread, sol_thread, ctx_thread = self._thread_run(
-            pipe_small, algorithm, config_id, config, n_workers
+        s_ref, sol_ref, ctx_ref = self._serial_run(
+            pipe_small, algorithm, config
         )
-        s_proc, sol_proc, ctx_proc = _assemble_and_solve(
-            pipe_small, algorithm,
-            config.with_(n_workers=n_workers, runtime_backend="process"),
+        s_run, sol_run, ctx_run = _assemble_and_solve(
+            pipe_small, algorithm, config.with_(n_workers=n_workers)
         )
-        assert np.array_equal(s_thread, s_proc)
-        assert np.array_equal(sol_thread.x, sol_proc.x)
-        assert sol_proc.stats.params["runtime_backend"] == "process"
-        assert sol_thread.stats.params["runtime_backend"] == "thread"
+        assert np.array_equal(s_ref, s_run)
+        assert np.array_equal(sol_ref.x, sol_run.x)
+        assert sol_run.stats.params["n_workers"] == n_workers
         if n_workers == 1:
-            # the serial paths of both backends charge identically: the
-            # tracked peaks must agree to the byte
-            assert ctx_thread.tracker.peak == ctx_proc.tracker.peak
-        ctx_proc.tracker.assert_all_freed()
+            # a serial run charges the same allocations in the same order:
+            # its tracked peak is reproducible to the byte
+            assert ctx_ref.tracker.peak == ctx_run.tracker.peak
+        ctx_run.tracker.assert_all_freed()
 
     def test_sparse_counters_match_thread_backend(self, pipe_small):
-        _, sol_thread, _ = self._thread_run(
-            pipe_small, "multi_solve", "spido", UNCOMPRESSED, 4
+        _, sol_ref, _ = self._serial_run(
+            pipe_small, "multi_factorization", UNCOMPRESSED
         )
-        _, sol_proc, _ = _assemble_and_solve(
-            pipe_small, "multi_solve",
-            UNCOMPRESSED.with_(n_workers=4, runtime_backend="process"),
+        _, sol_run, _ = _assemble_and_solve(
+            pipe_small, "multi_factorization",
+            UNCOMPRESSED.with_(n_workers=4),
         )
-        assert (sol_proc.stats.n_sparse_solves
-                == sol_thread.stats.n_sparse_solves)
-        assert (sol_proc.stats.n_sparse_factorizations
-                == sol_thread.stats.n_sparse_factorizations)
-        assert sol_proc.stats.worker_phases
-        assert sol_proc.stats.runtime_wall_seconds > 0.0
+        assert (sol_run.stats.n_sparse_solves
+                == sol_ref.stats.n_sparse_solves)
+        assert (sol_run.stats.n_sparse_factorizations
+                == sol_ref.stats.n_sparse_factorizations)
+        assert sol_run.stats.worker_phases
+        assert sol_run.stats.runtime_wall_seconds > 0.0
 
 
 class TestMemoryBoundedProcessExecution:
     def test_peak_within_limit_under_four_workers(self, pipe_small):
-        """A limit barely above the serial peak cannot fit four concurrent
-        panels: the coordinator must drain-and-retry (not raise) and keep
-        the tracked peak within the limit, bit-identical solutions included."""
-        config = UNCOMPRESSED.with_(n_workers=1, runtime_backend="process")
+        """The compressed multi-solve under a limit barely above its serial
+        peak: four workers must block on admission (not raise), keep the
+        tracked peak within the limit and reproduce the solution bit for
+        bit."""
+        config = COMPRESSED.with_(n_workers=1)
         _, serial, ctx_serial = _assemble_and_solve(
             pipe_small, "multi_solve", config
         )

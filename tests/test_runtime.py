@@ -355,6 +355,21 @@ class TestMemoryBoundedExecution:
         assert np.array_equal(serial.x, parallel.x)
         ctx.tracker.assert_all_freed()
 
+    def test_block_factorizations_count_against_the_limit(self, pipe_small):
+        """Every worker's block factorization charges the run's tracker:
+        a limit just below the serial peak must trip on two workers too
+        (parallel blocks only add to what the serial run holds)."""
+        config = COMPRESSED.with_(n_workers=1)
+        _, serial = self._run_tracked(
+            pipe_small, "multi_factorization", config
+        )
+        with pytest.raises(MemoryLimitExceeded):
+            self._run_tracked(
+                pipe_small, "multi_factorization",
+                config.with_(n_workers=2,
+                             memory_limit=serial.stats.peak_bytes - 1),
+            )
+
     @pytest.mark.parametrize("algorithm",
                              ["multi_solve", "multi_factorization"])
     @pytest.mark.parametrize("config", [UNCOMPRESSED, COMPRESSED],

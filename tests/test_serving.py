@@ -8,6 +8,7 @@ tracker balance is zero, so every test doubles as a leak check (under
 the module watchdog from ``conftest.py``).
 """
 
+import argparse
 import asyncio
 import os
 import subprocess
@@ -25,7 +26,9 @@ from repro.serving import (
     SolverServer,
     ServingError,
 )
+from repro.runner.__main__ import build_parser
 from repro.serving.protocol import error_response, raise_remote_error
+from repro.serving.stats import _LatencyAggregate
 from repro.utils.errors import FactorizationFreed
 
 CONFIG_KW = dict(dense_backend="hmat", n_c=64)
@@ -320,7 +323,36 @@ class TestReconnect:
         asyncio.run(main())
 
 
+class TestLatencyPercentiles:
+    def test_percentiles_track_recent_samples(self):
+        """A long-running server's percentiles follow its latest traffic:
+        once the window holds only the last 1000 (large) samples, p99 and
+        p50 both report them."""
+        agg = _LatencyAggregate(sample_cap=1000)
+        for _ in range(4000):
+            agg.add(0.001)
+        assert agg.percentile(0.99) == 0.001
+        for _ in range(1000):
+            agg.add(1.0)
+        assert agg.count == 5000
+        assert agg.percentile(0.99) == 1.0
+        assert agg.percentile(0.50) == 1.0
+
+
 class TestCli:
+    def test_every_serve_dense_backend_builds_a_config(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices["serve"]._actions
+                      if a.dest == "dense_backend")
+        assert action.choices
+        for choice in action.choices:
+            args = build_parser().parse_args(
+                ["serve", "--dense-backend", choice]
+            )
+            config = SolverConfig(dense_backend=args.dense_backend)
+            assert config.dense_backend == choice
+
     def test_runner_serve_smoke(self, pipe_small):
         """`python -m repro.runner serve` accepts a connection end-to-end."""
         socket_path = short_socket_path()

@@ -60,6 +60,22 @@ class TestSystemFingerprint:
         assert "serve_cache_budget" not in fields
         assert "epsilon" in fields
 
+    def test_env_resolved_factor_knobs_change_the_key(self, pipe_small,
+                                                      monkeypatch):
+        """The same config under ``$REPRO_FRONT_COMPRESS=1`` builds other
+        factors, so it must get another key."""
+        monkeypatch.delenv("REPRO_FRONT_COMPRESS", raising=False)
+        base = system_fingerprint(pipe_small, "multi_solve", CONFIG)
+        monkeypatch.setenv("REPRO_FRONT_COMPRESS", "1")
+        assert base != system_fingerprint(pipe_small, "multi_solve", CONFIG)
+
+    def test_env_worker_count_does_not_change_the_key(self, pipe_small,
+                                                      monkeypatch):
+        monkeypatch.delenv("REPRO_N_WORKERS", raising=False)
+        base = system_fingerprint(pipe_small, "multi_solve", CONFIG)
+        monkeypatch.setenv("REPRO_N_WORKERS", "4")
+        assert base == system_fingerprint(pipe_small, "multi_solve", CONFIG)
+
 
 class TestExactlyOnce:
     def test_concurrent_misses_build_once(self, pipe_small):

@@ -286,21 +286,6 @@ class TestDtypeChecker:
         assert run_checkers([str(other)], only=["dtype-safety"]) == []
 
 
-class TestPickleChecker:
-    def test_fixture_findings(self):
-        found = run_checkers([str(FIXTURES / "pkl_misuse.py")],
-                             only=["pickle-safety"])
-        assert {"PKL001", "PKL002", "PKL003"} == codes(found)
-        assert sum(1 for f in found if f.code == "PKL001") == 4
-
-    def test_module_level_references_are_exempt(self):
-        # good_kernel reads make_kernel/np-style importables freely; the
-        # clean submit of a module-level function produces nothing
-        found = run_checkers([str(FIXTURES / "pkl_misuse.py")],
-                             only=["pickle-safety"])
-        assert all("good_kernel" not in f.message for f in found)
-
-
 class TestBlockingChecker:
     def test_fixture_findings(self):
         found = run_checkers(
@@ -316,7 +301,7 @@ class TestBlockingChecker:
         # waiting on the sole held condition, submitting after release
         # and non-blocking probes are all clean
         for clean in ("sole_cond_wait", "submit_after_release",
-                      "nonblocking_probe", "slab_pop_under_lock"):
+                      "nonblocking_probe"):
             assert all(clean not in f.message for f in found)
 
     def test_async_fixture_findings(self):
@@ -350,21 +335,6 @@ class TestBlockingChecker:
         other.write_text(src)
         found = run_checkers([str(other)], only=["blocking-under-lock"])
         assert found == []
-
-
-class TestSlabChecker:
-    def test_fixture_findings(self):
-        found = run_checkers([str(FIXTURES / "slab_misuse.py")],
-                             only=["slab-lifecycle"])
-        assert {"SLB001", "SLB002", "SLB003"} == codes(found)
-        assert sum(1 for f in found if f.code == "SLB001") == 2
-
-    def test_clean_lifecycles_contribute_nothing(self):
-        found = run_checkers([str(FIXTURES / "slab_misuse.py")],
-                             only=["slab-lifecycle"])
-        for clean in ("clean_handoff", "clean_exception_path",
-                      "clean_raw_segment"):
-            assert all(clean not in f.message for f in found)
 
 
 class TestDeterminismChecker:
@@ -497,8 +467,7 @@ class TestRepositoryClean:
         names = sorted(cls.name for cls in ALL_CHECKERS)
         assert names == ["axpy-discipline", "blocking-under-lock",
                          "dense-schur", "determinism", "dtype-safety",
-                         "lock-discipline", "pickle-safety",
-                         "resource-discipline", "slab-lifecycle"]
+                         "lock-discipline", "resource-discipline"]
 
 
 # -- runtime watchdog ----------------------------------------------------------

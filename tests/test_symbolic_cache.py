@@ -305,18 +305,8 @@ class TestMultiFactorizationReuse:
         )
         assert np.array_equal(on.x, off.x)
         n_blocks = config.n_b ** 2
-        from repro.runtime import resolve_runtime_backend
-
-        if resolve_runtime_backend(None) == "process" and n_workers > 1:
-            # the symbolic cache is per-process on the process backend, so
-            # the first block of *each worker* analyses; reuse still covers
-            # every further block a worker factorizes
-            assert 1 <= on.stats.n_symbolic_analyses <= n_workers
-            assert (on.stats.n_symbolic_analyses + on.stats.n_symbolic_reuses
-                    == n_blocks)
-        else:
-            assert on.stats.n_symbolic_analyses == 1
-            assert on.stats.n_symbolic_reuses == n_blocks - 1
+        assert on.stats.n_symbolic_analyses == 1
+        assert on.stats.n_symbolic_reuses == n_blocks - 1
         assert off.stats.n_symbolic_analyses == n_blocks
         assert off.stats.n_symbolic_reuses == 0
         assert on.stats.params["reuse_analysis"] is True

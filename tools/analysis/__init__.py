@@ -34,24 +34,19 @@ Flow-sensitive checkers run on the CFG/dataflow engine in
     flush or escape, a receiver with staged updates must see a flush in
     the module, and ``factorize()`` must be preceded by one.
 
-``pickle-safety``
-    Kernels and worker builders handed to the process backend cross a
-    pickle boundary: no lambdas, closures, bound methods or
-    lock/pool-like module globals may ride along.
-
 ``blocking-under-lock``
     Never block waiting for another thread (``wait``/``result``/
     ``join``/blocking ``acquire``) while holding a lock — the classic
     scheduler/tracker deadlock shape.
 
-``slab-lifecycle``
-    Shared-memory slabs checked out of the coordinator pool must be
-    released on every path (exception paths included), exactly once.
-
 ``determinism``
     Nothing order-unstable (set iteration, global-state randomness,
     wall-clock values) may feed the ordered commit pipeline that backs
-    the thread/process byte-identity guarantee.
+    the byte-identity guarantee across worker counts.
+
+The PKL001–PKL003 and SLB001–SLB003 codes are retired: they guarded the
+process-pool runtime, which was removed with its worker kernels and
+shared-memory slabs.
 
 See ``docs/static_analysis.md`` for the conventions, waiver/baseline
 workflow and how to extend the suite.  The runtime companion
@@ -65,10 +60,8 @@ from tools.analysis.blocking import BlockingUnderLockChecker
 from tools.analysis.determinism import DeterminismChecker
 from tools.analysis.dtype_safety import DtypeSafetyChecker
 from tools.analysis.locks import LockDisciplineChecker
-from tools.analysis.pickle_safety import PickleSafetyChecker
 from tools.analysis.resource import ResourceDisciplineChecker
 from tools.analysis.schur import DenseSchurChecker
-from tools.analysis.slab import SlabLifecycleChecker
 
 #: All checkers, in reporting order.
 ALL_CHECKERS = (
@@ -77,9 +70,7 @@ ALL_CHECKERS = (
     DenseSchurChecker,
     DtypeSafetyChecker,
     AxpyDisciplineChecker,
-    PickleSafetyChecker,
     BlockingUnderLockChecker,
-    SlabLifecycleChecker,
     DeterminismChecker,
 )
 
@@ -94,8 +85,6 @@ __all__ = [
     "Finding",
     "LockDisciplineChecker",
     "ModuleSource",
-    "PickleSafetyChecker",
     "ResourceDisciplineChecker",
-    "SlabLifecycleChecker",
     "iter_sources",
 ]

@@ -10,8 +10,7 @@ mechanism of the suite:
 
 ``# schur-ok: <reason>`` / ``# dtype-ok: <reason>`` /
 ``# resource-ok: <reason>`` / ``# lock-ok: <reason>`` /
-``# axpy-ok: <reason>`` / ``# pkl-ok: <reason>`` /
-``# blk-ok: <reason>`` / ``# slb-ok: <reason>`` / ``# det-ok: <reason>``
+``# axpy-ok: <reason>`` / ``# blk-ok: <reason>`` / ``# det-ok: <reason>``
     Waive findings of the corresponding checker on this line.  A reason is
     mandatory — a waiver without justification is itself reported.
 """
@@ -34,15 +33,13 @@ MARKER_KINDS = {
     "resource-ok": True,
     "lock-ok": True,
     "axpy-ok": True,
-    "pkl-ok": True,
     "blk-ok": True,
-    "slb-ok": True,
     "det-ok": True,
 }
 
 _MARKER_RE = re.compile(
     r"#\s*(?P<kind>guarded-by|schur-ok|dtype-ok|resource-ok|lock-ok|axpy-ok"
-    r"|pkl-ok|blk-ok|slb-ok|det-ok)"
+    r"|blk-ok|det-ok)"
     r"\s*(?::\s*(?P<value>.*?))?\s*$"
 )
 

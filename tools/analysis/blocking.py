@@ -113,10 +113,6 @@ class _BlockingAnalysis(LockTrackingAnalysis):
                 blocked(f"blocking '{receiver}.{attr}()'")
             return
         if attr == "acquire":
-            if any(h in receiver for h in POOL_RECEIVER_HINTS):
-                return  # non-blocking free-list pop (slab pool)
-            if "slab" in receiver:
-                return
             if _false_keyword(call, ("block", "blocking")):
                 return
             if (TRACKER_RECEIVER_HINT in receiver

@@ -55,12 +55,6 @@ LOCK_HIERARCHY = (
     "_stats_lock",   # repro.sparse.solver.SparseSolver counters (leaf)
     "_axpy_lock",    # repro.hmatrix.hmatrix.HMatrix AXPY counters (leaf)
 )
-# The process execution backend (repro.runtime.process_backend) adds no
-# entry here on purpose: its coordinator is single-threaded and its
-# workers are single-threaded processes, so the only locks it ever takes
-# are the tracker's ``_cond`` and the timers' ``_lock`` — both already
-# ranked above.  Keep it that way; a new lock in that module must be
-# appended to the hierarchy, not waived.
 
 #: Methods exempt from the guarded-attribute rule: construction happens
 #: before the object is shared.
@@ -109,29 +103,12 @@ AXPY_FLUSH_METHODS = frozenset({"flush", "flush_accumulators"})
 #: a flush on the same receiver must precede them lexically.
 AXPY_FACTORIZE_METHODS = frozenset({"factorize"})
 
-# -- pickle-safety (process-backend kernels) ----------------------------------
-
-#: ``PanelTask`` keyword arguments that name a function executed in a
-#: worker *process*: the value must resolve to a module-level function.
-PICKLE_ENTRY_KWARGS = frozenset({"kernel", "worker_builder"})
-
-#: Identifier substrings that mark a value as process-unsafe when it is
-#: captured by (or passed to) a process-executed kernel: locks, condition
-#: variables, trackers, executors/pools, open slabs, futures, threads and
-#: runtime objects either cannot pickle at all or pickle into a
-#: meaningless per-process copy.
-PICKLE_UNSAFE_HINTS = (
-    "lock", "cond", "tracker", "executor", "pool", "slab", "future",
-    "thread", "runtime",
-)
-
 # -- blocking-under-lock -------------------------------------------------------
 
 #: Method names that block the calling thread until another thread makes
 #: progress.  Calling one while holding any :data:`LOCK_HIERARCHY` lock
-#: is the deadlock shape the process backend's drain-and-retry admission
-#: exists to avoid: the progress the caller waits for may itself need the
-#: held lock.
+#: is a deadlock shape: the progress the caller waits for may itself
+#: need the held lock.
 BLOCKING_METHODS = frozenset({"wait", "wait_for", "result", "join"})
 
 #: Receiver-name substrings that make a ``submit``/``map``/``shutdown``
@@ -163,35 +140,12 @@ ASYNC_BLOCKING_METHODS = frozenset({
     "acquire",
 })
 
-# -- slab-lifecycle ------------------------------------------------------------
-
-#: Pool methods that check a shared-memory slab out (the returned name /
-#: handle must be returned or closed on every path).  Only calls whose
-#: receiver matches :data:`SLAB_RECEIVER_HINTS` count, so the tracker's
-#: ``acquire`` stays in resource-discipline's jurisdiction.
-SLAB_CHECKOUT_METHODS = frozenset({"acquire", "checkout"})
-
-#: Pool methods that return a checked-out slab (the slab travels as the
-#: first argument: ``pool.release(name)``).
-SLAB_RETURN_METHODS = frozenset({"release", "checkin"})
-
-#: Receiver-name substrings identifying a slab pool.
-SLAB_RECEIVER_HINTS = ("slab",)
-
-#: Constructors that open an OS-level shared-memory handle; every
-#: instance must reach ``.close()`` (attach) or ``.unlink()`` (owner) on
-#: all paths or the segment outlives the process.
-SHM_CONSTRUCTORS = frozenset({"SharedMemory"})
-
-#: Methods that settle a shared-memory handle.
-SHM_RELEASE_METHODS = frozenset({"close", "unlink"})
-
 # -- determinism ---------------------------------------------------------------
 
 #: Functions of the :mod:`random` module (and legacy ``np.random``)
 #: that draw from hidden global state: their sequence depends on import
 #: order and thread interleaving, so results are not reproducible across
-#: backends.  Seeded generators (``np.random.default_rng(seed)``) are the
+#: worker counts.  Seeded generators (``np.random.default_rng(seed)``) are the
 #: sanctioned alternative.
 DET_GLOBAL_RANDOM_MODULES = frozenset({"random"})
 DET_LEGACY_NP_RANDOM_FUNCS = frozenset({
@@ -211,7 +165,7 @@ DET_WALLCLOCK_FUNCS = frozenset({"time", "time_ns", "ctime", "localtime"})
 #: sequence is a pure function of the configuration.  Constructing
 #: ``np.random.Generator``/``RandomState`` directly (DET004) hand-picks
 #: a bit generator and bypasses that discipline — the sampled Schur
-#: borders would no longer be byte-identical across backends.
+#: borders would no longer be byte-identical across worker counts.
 DET_SEEDED_RNG_PATH_FRAGMENTS = (
     "repro/sparse/",
     "repro/core/randomized",

@@ -1,9 +1,9 @@
 """determinism: nothing order-unstable may feed the ordered commits.
 
-The thread/process byte-identity guarantee (results identical for any
-worker count and either backend) holds because every fold into the Schur
-container happens in task-index order over deterministic inputs.  Three
-sources of hidden nondeterminism would break it silently:
+The byte-identity guarantee (results identical for any worker count)
+holds because every fold into the Schur container happens in task-index
+order over deterministic inputs.  Three sources of hidden nondeterminism
+would break it silently:
 
 * DET001 — iterating a ``set`` (literal, ``set(...)`` call, set
   comprehension or set operators): Python set order depends on hash
@@ -21,8 +21,8 @@ sources of hidden nondeterminism would break it silently:
 * DET004 — constructing ``np.random.Generator`` or ``RandomState``
   directly in the randomized kernel modules
   (:data:`tools.analysis.config.DET_SEEDED_RNG_PATH_FRAGMENTS`).  The
-  sampled Schur borders are byte-identical across backends only because
-  every generator there is ``np.random.default_rng(seed)`` with an
+  sampled Schur borders are byte-identical across worker counts only
+  because every generator there is ``np.random.default_rng(seed)`` with an
   explicit seed (per-block seed-sequence keys like
   ``default_rng([seed, i, j])`` included) — hand-built generators pick
   their own bit-generator stream and break that contract.
@@ -110,7 +110,7 @@ class DeterminismChecker(Checker):
                  f"'{func.id}(...)' builds a generator by hand — in the "
                  f"randomized kernels every rng must come from "
                  f"np.random.default_rng(seed) so sampled borders stay "
-                 f"byte-identical across backends")
+                 f"byte-identical across worker counts")
             return
         if not isinstance(func, ast.Attribute):
             return
@@ -120,7 +120,7 @@ class DeterminismChecker(Checker):
                  f"'np.random.{func.attr}(...)' builds a generator by "
                  f"hand — use np.random.default_rng(seed) (per-block keys "
                  f"like default_rng([seed, i, j]) are fine) so sampled "
-                 f"borders stay byte-identical across backends")
+                 f"borders stay byte-identical across worker counts")
             return
         root = receiver_root(func)
         chain = attribute_chain(func)  # e.g. np.random.rand -> [random, rand]

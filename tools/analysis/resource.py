@@ -28,12 +28,12 @@ handle through the control-flow graph of the enclosing scope
   exactly where it runs.
 
 RES008 is the contract PR 2's lexical checker could not express: the
-trackers *are* per-run objects, but the process backend recycles tracker
-budget and shared-memory slabs across panels inside one run, so a handle
-leaked on an admission failure is real budget gone for the rest of the
-factorization.  Fix by freeing in an ``except``/``finally`` before the
-exception propagates, or waive with ``# resource-ok: <reason>`` on the
-allocation line when the leak is provably benign.
+trackers *are* per-run objects, but the panel runtime recycles tracker
+budget across panels inside one run, so a handle leaked on an admission
+failure is real budget gone for the rest of the factorization.  Fix by
+freeing in an ``except``/``finally`` before the exception propagates, or
+waive with ``# resource-ok: <reason>`` on the allocation line when the
+leak is provably benign.
 """
 
 from __future__ import annotations

@@ -131,8 +131,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.analysis",
         description="Repo-specific invariant checkers (flow-sensitive "
-                    "lints for memory/lock/Schur/dtype/axpy/pickle/"
-                    "blocking/slab/determinism discipline).",
+                    "lints for memory/lock/Schur/dtype/axpy/"
+                    "blocking/determinism discipline).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src", "benchmarks"],

@@ -26,9 +26,7 @@ _FAMILY_HELP = {
     "SCHUR": "the dense Schur complement must stay compressed",
     "DT": "kernel arrays need explicit problem dtypes",
     "AXPY": "deferred-recompression accumulators must be flushed",
-    "PKL": "process-backend kernels must survive the pickle boundary",
     "BLK": "never block for another thread while holding a lock",
-    "SLB": "shared-memory slabs must return to their pool",
     "DET": "nothing order-unstable may feed ordered commits",
     "WAIVE": "waiver markers require a justification",
     "E": "file could not be analysed",
